@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-bench ci fmt bench trace-demo serve-smoke campaign-smoke
+.PHONY: build test race fuzz lint lint-bench ci fmt bench trace-demo serve-smoke campaign-smoke
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,18 @@ test:
 # property tests under the detector); it is still part of `make ci`.
 race:
 	$(GO) test -race ./...
+
+# Run each native fuzz target for a bounded time (plain `go test` only
+# replays their seed corpora). go test fuzzes one target per run, hence
+# the loop; a failing input lands in the package's testdata/fuzz.
+FUZZTIME ?= 20s
+FUZZ_TARGETS = FuzzCampaignInvariants FuzzLazySourceMatchesStdlib
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/fault || exit 1; \
+	done
 
 # lint = formatting + go vet + the repository's own analyzer suite
 # (cmd/abftlint — see docs/LINTING.md for the current roster; the

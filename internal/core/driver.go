@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"abftchol/internal/fault"
-)
+import "fmt"
 
 // Run executes one (possibly fault-injected) Cholesky factorization
 // under the configured scheme and returns its simulated timing and
@@ -67,13 +63,8 @@ func Run(o Options) (Result, error) {
 	if t > 0 {
 		res.GFLOPS = choleskyFlops(o.N) / t / 1e9
 	}
-	for _, in := range e.led.History() {
-		if in.Kind == fault.Propagated {
-			res.PropagationEvents++
-		} else {
-			res.Injections = append(res.Injections, in)
-		}
-	}
+	res.Injections = e.led.Injected()
+	res.PropagationEvents = e.led.Propagations()
 	if e.a != nil && runErr == nil {
 		res.L = e.a.Clone()
 		res.L.LowerFromFull()

@@ -186,8 +186,13 @@ func (e *exec) markPropagation(op fault.Op, j int) {
 		}
 	case fault.OpGEMM:
 		for k := 0; k < j; k++ {
-			lcBad := e.led.IsCorrupt(j, k)
+			// The LC block (j, k) is only read here, so its width (0
+			// when clean) holds for every i.
+			lcWidth := e.led.PendingWidth(j, k)
 			for i := j + 1; i < e.nb; i++ {
+				if lcWidth == 0 && !e.led.IsCorrupt(i, k) {
+					continue // clean inputs: nothing to smear into (i, j)
+				}
 				// An LD block's *stored checksums* feed the update, so
 				// only its checksum-visible damage propagates visibly;
 				// checksum-consistent damage yields checksum-consistent
@@ -203,8 +208,8 @@ func (e *exec) markPropagation(op fault.Op, j int) {
 				if w := e.led.ConsistentWidth(i, k); w > 0 {
 					e.led.Propagate(i, k, i, j, j, true, w, -1)
 				}
-				if lcBad {
-					e.led.Propagate(j, k, i, j, j, true, e.led.PendingWidth(j, k), -1)
+				if lcWidth > 0 {
+					e.led.Propagate(j, k, i, j, j, true, lcWidth, -1)
 				}
 			}
 		}

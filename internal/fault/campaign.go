@@ -296,9 +296,10 @@ func SubSeed(seed int64, iter int) int64 {
 // concatenating CampaignAt over every iteration.
 func Campaign(cfg CampaignConfig) []Scenario {
 	cfg = cfg.Normalized()
+	rng := rand.New(newLazySource(cfg.Seed))
 	var out []Scenario
 	for j := 1; j < cfg.Blocks; j++ {
-		out = append(out, campaignAt(cfg, j)...)
+		out = appendIter(out, cfg, rng, j)
 	}
 	return out
 }
@@ -308,32 +309,34 @@ func Campaign(cfg CampaignConfig) []Scenario {
 // can be generated in one pass or split across iterations (or shards)
 // without changing a single scenario.
 func CampaignAt(cfg CampaignConfig, iter int) []Scenario {
-	return campaignAt(cfg.Normalized(), iter)
+	cfg = cfg.Normalized()
+	return appendIter(nil, cfg, rand.New(newLazySource(cfg.Seed)), iter)
 }
 
-// campaignAt requires a normalized config.
-func campaignAt(cfg CampaignConfig, j int) []Scenario {
+// appendIter appends iteration j's scenarios to out. It reseeds rng to
+// the iteration's stream: math/rand's, seeded with SubSeed(Seed, j).
+// cfg must be normalized.
+func appendIter(out []Scenario, cfg CampaignConfig, rng *rand.Rand, j int) []Scenario {
 	if j < 1 || j >= cfg.Blocks {
-		return nil
+		return out
 	}
 	if cfg.Class.Strike == StrikeCompute && j >= cfg.Blocks-1 {
 		// The last iteration has no trailing blocks, hence no GEMM to
 		// mis-compute.
-		return nil
+		return out
 	}
-	rng := rand.New(rand.NewSource(SubSeed(cfg.Seed, j)))
-	var out []Scenario
+	rng.Seed(SubSeed(cfg.Seed, j))
 	for n := poisson(rng, cfg.RatePerIteration); n > 0; n-- {
-		out = append(out, strike(cfg, rng, j)...)
+		out = strike(out, cfg, rng, j)
 	}
 	return out
 }
 
-// strike draws one arrival at iteration j: a single scenario, or
-// BurstSize scenarios in one block column for burst classes. The draw
-// order (block, column, rows, bits) is fixed — it is part of the
+// strike appends one arrival at iteration j to out: a single scenario,
+// or BurstSize scenarios in one block column for burst classes. The
+// draw order (block, column, rows, bits) is fixed — it is part of the
 // campaign's reproducibility contract.
-func strike(cfg CampaignConfig, rng *rand.Rand, j int) []Scenario {
+func strike(out []Scenario, cfg CampaignConfig, rng *rand.Rand, j int) []Scenario {
 	base := Scenario{Iter: j, Delta: cfg.Delta}
 	if cfg.Class.Strike == StrikeCompute {
 		base.Kind = Computation
@@ -354,23 +357,30 @@ func strike(cfg CampaignConfig, rng *rand.Rand, j int) []Scenario {
 	if count > 1 {
 		rows = rng.Perm(cfg.BlockSize)[:count] // distinct rows, one column
 	}
-	out := make([]Scenario, count)
-	for i := range out {
+	for _, row := range rows {
 		s := base
-		s.Row = rows[i]
+		s.Row = row
 		switch cfg.Class.Flavor {
 		case FlavorMantissa:
 			s.Bit = mantissaBitLo + rng.Intn(mantissaBitHi-mantissaBitLo)
 		case FlavorExponent:
 			s.Bit = exponentBitLo + rng.Intn(exponentBitHi-exponentBitLo)
 		}
-		out[i] = s
+		out = append(out, s)
 	}
 	return out
 }
 
-// poisson draws from Poisson(lambda) by Knuth's method; fine for the
-// small rates the campaigns use.
+// MaxRatePerIteration is the largest Poisson rate poisson draws
+// faithfully. Knuth's method stops when a running product of uniforms
+// falls to e^(−λ), which leaves float64's normal range past
+// λ = 1022·ln 2 ≈ 708.4 and underflows to 0 near 745; beyond that the
+// count is set by float underflow, not by λ. Campaign configs with a
+// larger rate are rejected, not silently mis-sampled.
+const MaxRatePerIteration = 708
+
+// poisson draws from Poisson(lambda) by Knuth's method, for
+// 0 <= lambda <= MaxRatePerIteration.
 func poisson(rng *rand.Rand, lambda float64) int {
 	if lambda <= 0 {
 		return 0

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -124,5 +125,40 @@ func TestPropagatedString(t *testing.T) {
 	in := Injection{Kind: Propagated, BI: 2, BJ: 1, Iter: 5, Width: 2}
 	if in.String() == "" {
 		t.Fatal("empty render")
+	}
+}
+
+// referenceCampaign generates a campaign the way the engine did before
+// it reused one lazily seeded source: a fresh rand.NewSource per
+// iteration. Campaign must match it scenario for scenario.
+func referenceCampaign(cfg CampaignConfig) []Scenario {
+	cfg = cfg.Normalized()
+	var out []Scenario
+	for j := 1; j < cfg.Blocks; j++ {
+		if cfg.Class.Strike == StrikeCompute && j >= cfg.Blocks-1 {
+			continue
+		}
+		rng := rand.New(rand.NewSource(SubSeed(cfg.Seed, j)))
+		for n := poisson(rng, cfg.RatePerIteration); n > 0; n-- {
+			out = strike(out, cfg, rng, j)
+		}
+	}
+	return out
+}
+
+func TestCampaignMatchesStdlibReference(t *testing.T) {
+	for _, class := range Classes() {
+		for _, seed := range []int64{0, 1, -7, 20160523, SubSeed(3, 9)} {
+			for _, rate := range []float64{0.05, 0.5, 3, 40} {
+				for _, shape := range []struct{ blocks, size, burst int }{{16, 32, 0}, {5, 3, 3}} {
+					cfg := CampaignConfig{Blocks: shape.blocks, BlockSize: shape.size, RatePerIteration: rate,
+						Seed: seed, Class: class, BurstSize: shape.burst}
+					got, want := Campaign(cfg), referenceCampaign(cfg)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d rate %g %+v: %d scenarios, reference %d", class.Key(), seed, rate, shape, len(got), len(want))
+					}
+				}
+			}
+		}
 	}
 }

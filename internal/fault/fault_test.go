@@ -76,8 +76,11 @@ func TestLedgerMarkClear(t *testing.T) {
 	if l.AnyCorrupt() {
 		t.Fatal("ledger still corrupt after clear")
 	}
-	if len(l.History()) != 1 {
-		t.Fatal("history lost after clear")
+	if got := l.Injected(); len(got) != 1 || got[0].Delta != 5 || got[0].BI != 2 || got[0].BJ != 1 {
+		t.Fatalf("injected after clear = %v, want the one repaired mark", got)
+	}
+	if l.Propagations() != 0 {
+		t.Fatalf("propagations = %d, want 0", l.Propagations())
 	}
 }
 
@@ -105,17 +108,27 @@ func TestLedgerPropagate(t *testing.T) {
 	if l.CorruptBlocks() != 3 {
 		t.Fatalf("corrupt blocks = %d, want source plus two destinations", l.CorruptBlocks())
 	}
+	// Propagated smears are counted, not kept as injections; a
+	// directly marked Propagated injection counts the same way.
+	l.Mark(Injection{Kind: Propagated, BI: 7, BJ: 3, Width: 1})
+	if l.Propagations() != 3 {
+		t.Fatalf("propagations = %d, want 3", l.Propagations())
+	}
+	if got := l.Injected(); len(got) != 1 || got[0].Kind != Storage || got[0].BI != 3 {
+		t.Fatalf("injected = %v, want only the storage mark", got)
+	}
 }
 
 func TestLedgerReset(t *testing.T) {
 	l := NewLedger()
 	l.Mark(Injection{Kind: Storage, BI: 1, BJ: 1})
+	l.Propagate(1, 1, 2, 1, 1, true, 1, -1)
 	l.Reset()
 	if l.AnyCorrupt() {
 		t.Fatal("reset left corruption")
 	}
-	if len(l.History()) != 1 {
-		t.Fatal("reset must keep history")
+	if len(l.Injected()) != 1 || l.Propagations() != 1 {
+		t.Fatalf("reset must keep injections and propagation count: %v, %d", l.Injected(), l.Propagations())
 	}
 }
 

@@ -1,12 +1,17 @@
 package fault
 
+import "slices"
+
 // Ledger tracks which blocks currently hold undetected corruption.
 // The real-data plane uses it for assertions in tests; the model plane
 // uses it as the source of truth for what a checksum verification
 // would find.
 type Ledger struct {
 	pending map[[2]int][]Injection
-	history []Injection
+	// injected keeps every non-propagated mark in order; propagated
+	// smears, hundreds per faulty run, are only counted.
+	injected     []Injection
+	propagations int
 }
 
 // NewLedger returns an empty ledger.
@@ -18,7 +23,11 @@ func NewLedger() *Ledger {
 func (l *Ledger) Mark(in Injection) {
 	key := [2]int{in.BI, in.BJ}
 	l.pending[key] = append(l.pending[key], in)
-	l.history = append(l.history, in)
+	if in.Kind == Propagated {
+		l.propagations++
+	} else {
+		l.injected = append(l.injected, in)
+	}
 }
 
 // Pending returns the unrepaired injections currently in block
@@ -72,14 +81,12 @@ func (l *Ledger) Propagate(srcI, srcJ, dstI, dstJ, iter int, consistent bool, wi
 // row: rows lists the distinct known damaged row indices and unknown
 // counts additional damaged rows at unknown positions.
 func (l *Ledger) DetectableProfile(bi, bj int) (rows []int, unknown int) {
-	seen := map[int]bool{}
 	for _, in := range l.pending[[2]int{bi, bj}] {
 		if !in.Detectable() {
 			continue
 		}
 		if in.Kind != Propagated || (in.EffectiveWidth() == 1 && in.Row >= 0) {
-			if !seen[in.Row] {
-				seen[in.Row] = true
+			if !slices.Contains(rows, in.Row) {
 				rows = append(rows, in.Row)
 			}
 			continue
@@ -140,13 +147,18 @@ func (l *Ledger) AnyCorrupt() bool { return len(l.pending) > 0 }
 // CorruptBlocks returns the number of blocks with pending corruption.
 func (l *Ledger) CorruptBlocks() int { return len(l.pending) }
 
-// History returns every injection ever recorded, including repaired
-// ones, in order.
-func (l *Ledger) History() []Injection { return l.history }
+// Injected returns every non-propagated injection ever marked,
+// including repaired ones, in order. The slice is the ledger's own.
+func (l *Ledger) Injected() []Injection { return l.injected }
 
-// Reset drops all pending corruption but keeps history. Used when a
-// failed factorization restarts from the pristine input (the paper's
-// "redo the whole decomposition" recovery).
+// Propagations returns how many propagated smears have been marked,
+// including repaired ones.
+func (l *Ledger) Propagations() int { return l.propagations }
+
+// Reset drops all pending corruption but keeps Injected and
+// Propagations. Used when a failed factorization restarts from the
+// pristine input (the paper's "redo the whole decomposition"
+// recovery).
 func (l *Ledger) Reset() {
 	l.pending = make(map[[2]int][]Injection)
 }

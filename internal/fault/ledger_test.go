@@ -95,13 +95,13 @@ func TestLedgerHistoryOrderAndClearIdempotence(t *testing.T) {
 	if again := l.Clear(1, 2); len(again) != 0 {
 		t.Fatal("Clear of a clean block returned injections")
 	}
-	if h := l.History(); len(h) != 2 || h[0] != in1 || h[1] != in2 {
-		t.Fatalf("History = %v, want the two marks in order", h)
+	if h := l.Injected(); len(h) != 2 || h[0] != in1 || h[1] != in2 {
+		t.Fatalf("Injected = %v, want the two marks in order", h)
 	}
-	// The ledger stays usable after Reset, and history keeps growing.
+	// The ledger stays usable after Reset, and its record keeps growing.
 	l.Reset()
 	l.Mark(Injection{Kind: Computation, BI: 1, BJ: 1})
-	if !l.IsCorrupt(1, 1) || len(l.History()) != 3 {
+	if !l.IsCorrupt(1, 1) || len(l.Injected()) != 3 {
 		t.Fatal("ledger unusable after Reset")
 	}
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"abftchol/internal/core"
 	"abftchol/internal/experiments"
+	"abftchol/internal/fault"
 	"abftchol/internal/obs"
 )
 
@@ -313,6 +315,18 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := cfg.Normalize(); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
+	}
+	// Rates the Poisson sampler cannot draw: non-finite, or so large
+	// that e^(−rate) underflows. Each must fail in Normalize with an
+	// error naming the field, not later in JSON encoding or silently.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), fault.MaxRatePerIteration + 1, 1000} {
+		_, err := Config{RatePerIteration: rate}.Normalize()
+		if err == nil || !strings.Contains(err.Error(), "rate_per_iteration") {
+			t.Fatalf("rate %g: err = %v, want a rate_per_iteration error", rate, err)
+		}
+	}
+	if _, err := (Config{RatePerIteration: fault.MaxRatePerIteration}).Normalize(); err != nil {
+		t.Fatalf("largest drawable rate rejected: %v", err)
 	}
 	norm, err := Config{}.Normalize()
 	if err != nil {

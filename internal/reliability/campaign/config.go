@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"abftchol/internal/core"
 	"abftchol/internal/fault"
@@ -50,7 +51,8 @@ type Config struct {
 	ChecksumVectors int `json:"checksum_vectors"`
 
 	// RatePerIteration is the Poisson fault arrival rate per
-	// factorization iteration. Default 0.05.
+	// factorization iteration, at most fault.MaxRatePerIteration.
+	// Default 0.05.
 	RatePerIteration float64 `json:"rate_per_iteration"`
 	// Delta is the additive magnitude for offset classes; 0 means
 	// fault.DefaultDelta. Ignored by bit-flip classes.
@@ -113,6 +115,10 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.ShardTrials > c.TrialsPerCell {
 		c.ShardTrials = c.TrialsPerCell
+	}
+	if r := c.RatePerIteration; math.IsNaN(r) || math.IsInf(r, 0) || r > fault.MaxRatePerIteration {
+		return Config{}, fmt.Errorf("campaign: rate_per_iteration %g is not a drawable Poisson rate (want 0 to %d arrivals per iteration)",
+			r, fault.MaxRatePerIteration)
 	}
 	if c.N < 0 || c.BlockSize < 0 || c.K < 0 || c.ChecksumVectors < 0 ||
 		c.RatePerIteration < 0 || c.Delta < 0 || c.BurstSize < 0 ||

@@ -106,6 +106,12 @@ func DocSample() (string, error) {
 	}
 
 	var b strings.Builder
+	b.WriteString("Each iteration of a trial's fault plan draws from its own stream:\n")
+	b.WriteString("math/rand's generator seeded with `SubSeed(trial seed, iteration)`.\n")
+	b.WriteString("`fault.Campaign` seeds it lazily, computing each register word on its\n")
+	b.WriteString("first read, and `TestLazySourceMatchesStdlib` holds the stream\n")
+	b.WriteString("identical to `rand.NewSource`'s, so these bytes do not depend on how\n")
+	b.WriteString("the seeding is done.\n\n")
 	b.WriteString("The journal after the run — a header naming the campaign fingerprint\n")
 	b.WriteString("plus one appended (and fsynced) record per completed shard. A rerun\n")
 	b.WriteString("replays these records instead of re-executing their trials:\n\n")

@@ -19,14 +19,20 @@ race:
 
 # Run each native fuzz target for a bounded time (plain `go test` only
 # replays their seed corpora). go test fuzzes one target per run, hence
-# the loop; a failing input lands in the package's testdata/fuzz.
+# the loop; each entry is package:target, and a failing input lands in
+# that package's testdata/fuzz.
 FUZZTIME ?= 20s
-FUZZ_TARGETS = FuzzCampaignInvariants FuzzLazySourceMatchesStdlib
+FUZZ_TARGETS = \
+	internal/fault:FuzzCampaignInvariants \
+	internal/fault:FuzzLazySourceMatchesStdlib \
+	internal/mat:FuzzRandSPDMatchesNaive \
+	internal/mat:FuzzCholeskyResidualMatchesNaive
 
 fuzz:
-	@for t in $(FUZZ_TARGETS); do \
-		echo "fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/fault || exit 1; \
+	@for pt in $(FUZZ_TARGETS); do \
+		pkg=$${pt%%:*}; t=$${pt#*:}; \
+		echo "fuzz $$pkg $$t ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./$$pkg || exit 1; \
 	done
 
 # lint = formatting + go vet + the repository's own analyzer suite

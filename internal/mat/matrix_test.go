@@ -245,20 +245,6 @@ func TestRandSPDDeterministic(t *testing.T) {
 	}
 }
 
-func TestDiagDominantSPDSymmetric(t *testing.T) {
-	m := DiagDominantSPD(10, 5)
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 10; j++ {
-			if m.At(i, j) != m.At(j, i) {
-				t.Fatal("not symmetric")
-			}
-		}
-		if m.At(i, i) != 20 {
-			t.Fatalf("diagonal = %g, want 20", m.At(i, i))
-		}
-	}
-}
-
 func TestNorms(t *testing.T) {
 	m := FromSlice(2, 2, []float64{1, -3, 2, 4}) // cols: (1,-3), (2,4)
 	// rows: (1,2) and (-3,4); inf norm = max(3, 7) = 7

@@ -56,18 +56,16 @@ func CholeskyResidual(a, l *Matrix) float64 {
 	if a.Cols != n || l.Rows != n || l.Cols != n {
 		panic(ErrShape)
 	}
+	// Symmetric, so the lower triangle suffices: column j of L·Lᵀ from
+	// row j down only involves L's columns k <= j.
 	maxd := 0.0
+	llt := make([]float64, n)
 	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ { // symmetric: lower triangle suffices
-			s := 0.0
-			kmax := i
-			if j < i {
-				kmax = j
-			}
-			for k := 0; k <= kmax; k++ {
-				s += l.At(i, k) * l.At(j, k)
-			}
-			d := math.Abs(a.At(i, j) - s)
+		s := llt[j:]
+		clear(s)
+		lowerGramCol(s, l.Data, l.Stride, j, j+1)
+		for i, v := range a.Col(j)[j:] {
+			d := math.Abs(v - s[i])
 			if d > maxd {
 				maxd = d
 			}

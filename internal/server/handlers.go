@@ -127,7 +127,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := experiments.Fingerprint(opts)
-	j, ok := s.newJob(req, opts, fp)
+	j, info, ok := s.newJob(req, opts, fp)
 	if !ok {
 		failJSON(w, http.StatusServiceUnavailable, "draining", "daemon is shutting down; submissions are closed")
 		return
@@ -142,9 +142,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Inc("server.jobs.submitted")
-	s.mu.Lock()
-	info := s.infoLocked(j)
-	s.mu.Unlock()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, info)
 }

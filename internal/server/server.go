@@ -505,14 +505,16 @@ func (s *Server) infoLocked(j *job) JobInfo {
 	return info
 }
 
-// newJob registers a submission under the next ID and returns it, or
-// false when the daemon is draining.
-func (s *Server) newJob(req JobRequest, opts core.Options, fp string) (*job, bool) {
+// newJob registers a submission under the next ID and returns it with
+// its queued-state snapshot, or false when the daemon is draining. The
+// snapshot is taken here, before the job is enqueued, because once it
+// is a worker may claim it and move it on.
+func (s *Server) newJob(req JobRequest, opts core.Options, fp string) (*job, JobInfo, bool) {
 	now := s.cfg.Clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, false
+		return nil, JobInfo{}, false
 	}
 	s.seq++
 	j := &job{
@@ -527,7 +529,7 @@ func (s *Server) newJob(req JobRequest, opts core.Options, fp string) (*job, boo
 	}
 	j.history = append(j.history, stateEvent{State: StateQueued, Time: now})
 	s.jobs[j.id] = j
-	return j, true
+	return j, s.infoLocked(j), true
 }
 
 // dropJob removes a job that never made it into the queue.
